@@ -56,16 +56,20 @@ impl Server {
     /// Drain the service through `/admin/shutdown` and reap it.
     pub fn stop(mut self) -> io::Result<Reaped> {
         let asked = request(&self.addr, "POST", "/admin/shutdown", "");
+        let mut child = self.child.take().expect("server still running");
+        if asked.is_err() {
+            // Its standard output would never end otherwise.
+            let _ = child.kill();
+        }
         // The server prints a last line while draining; keep reading
         // so it never writes into a closed pipe.
         let mut rest = Vec::new();
         let _ = self.stdout.read_to_end(&mut rest);
-        let child = self.child.take().expect("server still running");
-        if asked.is_err() {
-            let _ = { child }.kill();
-            return Err(io::Error::other("server refused /admin/shutdown"));
+        let reaped = reap(&child)?;
+        match asked {
+            Ok(_) => Ok(reaped),
+            Err(_) => Err(io::Error::other("server refused /admin/shutdown")),
         }
-        reap(&child)
     }
 }
 

@@ -67,16 +67,27 @@ impl Scale {
 /// Set-up repetitions; `setup_s` is their median.
 const SETUP_REPS: usize = 3;
 /// Repeats of the sub-second CLI block in every round.
-const FAST_REPEATS: usize = 3;
+const FAST_REPEATS: usize = 2;
 /// Calls in one pass of the selective `query` script: every template
-/// in every stratum.
-const SELECTIVE_CALLS: usize = 6 * STRATA;
+/// in every one of its strata.
+const SELECTIVE_CALLS: usize = 6 * CLI_STRATA;
+/// Slices of the trace the selective `query` script is spread over.
+const CLI_STRATA: usize = 4;
 /// Slices of the trace that selective windows and page offsets are
 /// spread over.
 const STRATA: usize = 8;
+/// Events one selective call matches (fewer when the whole trace holds
+/// fewer): the CLI prints only counts, so its calls take wide windows,
+/// several milliseconds of scan each, against about one of process
+/// start.
+const CLI_MATCHES: usize = 16384;
 /// Per round: selective queries, pages, memo-missing folds (each
 /// repeated once later in the round, as a memo hit).
 const SERVE_QUERIES: usize = 6 * STRATA;
+/// Events one selective `/v1/query` returns (fewer when the whole trace
+/// holds fewer): enough that writing them, some milliseconds, outweighs
+/// the connection's fixed cost.
+const SERVE_MATCHES: usize = 1536;
 const SERVE_PAGES: usize = 6;
 const SERVE_FOLDS: usize = 4;
 const PAGE_LIMIT: usize = 100;
@@ -167,15 +178,25 @@ pub struct Expect {
     pub reuse: Option<(u64, u64)>,
     span: (u64, u64),
     cores: u32,
+    /// Objects, most sampled first.
     object_ids: Vec<u32>,
+    /// Indices of `recs` in time order.
+    by_time: Vec<u32>,
 }
 
 impl Expect {
     pub fn new(recs: Vec<Rec>, region_names: Vec<String>) -> Expect {
         let r = oracle::reuse(&recs, 0, 64);
-        let mut object_ids: Vec<u32> = recs.iter().filter_map(|r| r.object).collect();
-        object_ids.sort_unstable();
-        object_ids.dedup();
+        let mut samples: BTreeMap<u32, u64> = BTreeMap::new();
+        for r in recs.iter().filter(|r| r.kind == PEBS) {
+            if let Some(o) = r.object {
+                *samples.entry(o).or_default() += 1;
+            }
+        }
+        let mut object_ids: Vec<u32> = samples.keys().copied().collect();
+        object_ids.sort_by_key(|o| std::cmp::Reverse(samples[o]));
+        let mut by_time: Vec<u32> = (0..recs.len() as u32).collect();
+        by_time.sort_by_key(|&k| recs[k as usize].cycles);
         Expect {
             kinds: oracle::kind_counts(&recs),
             objects: oracle::object_load_stores(&recs),
@@ -188,6 +209,7 @@ impl Expect {
             ),
             cores: recs.iter().map(|r| r.core + 1).max().unwrap_or(1),
             object_ids,
+            by_time,
             recs,
             region_names,
         }
@@ -200,56 +222,60 @@ impl Expect {
             .map(|i| i as u32)
     }
 
-    /// Selective predicate number `i`: template `i % 6` (time window,
-    /// core, kind and object selections, each a few percent of the
-    /// trace or less), its window in stratum `i / 6` of [`STRATA`]
-    /// equal slices of the trace with a seeded offset inside it. Every
-    /// seed thus spreads the same kinds of query evenly over the trace,
-    /// so the work of a script hardly depends on the seed.
-    pub fn selective(&self, rng: &mut Rng, i: usize) -> Pred {
-        let span = (self.span.1 - self.span.0).max(1);
-        let stratum = (i / 6 % STRATA) as u64;
-        let mut window = |div: u64| {
-            let w = span / div;
-            let slot = (span - w) / STRATA as u64;
-            let lo = self.span.0 + slot * stratum + rng.below(slot);
-            Some((lo, lo + w))
-        };
+    /// Selective predicate number `i`, matching about `want` events:
+    /// template `i % 6` picks the filter (a core, kinds, an object),
+    /// stratum `i / 6` of `strata` equal slices of the filter's matches
+    /// picks, with a seeded offset inside it, the match the time window
+    /// opens at, and the window closes at the `want`-th match from there
+    /// (or spans the trace when it holds no more). Every seed thus
+    /// spreads the same kinds of query evenly over the trace, each
+    /// returning about as many events, so the work of a script hardly
+    /// depends on the seed.
+    pub fn selective(&self, rng: &mut Rng, i: usize, strata: usize, want: usize) -> Pred {
+        let stratum = i / 6 % strata;
+        let core = (stratum % self.cores as usize) as u32;
         let mut p = match i % 6 {
-            0 => Pred {
-                time: window(200),
-                ..Pred::default()
-            },
+            0 => Pred::default(),
             1 => Pred {
-                time: window(100),
+                cores: Some(vec![core]),
                 ..Pred::default()
             },
             2 => Pred {
-                time: window(50),
                 kinds: Some(vec![PEBS]),
+                cores: Some(vec![core]),
                 ..Pred::default()
             },
             3 => Pred {
-                time: window(20),
+                object: (!self.object_ids.is_empty())
+                    .then(|| self.object_ids[stratum % self.object_ids.len()]),
                 ..Pred::default()
             },
             4 => Pred {
-                time: window(10),
                 kinds: Some(vec![ENTER, EXIT]),
                 ..Pred::default()
             },
             _ => Pred {
-                time: window(50),
                 kinds: Some(vec![SAMP]),
+                cores: Some(vec![core]),
                 ..Pred::default()
             },
         };
-        if matches!(i % 6, 1 | 2 | 5) {
-            p.cores = Some(vec![(stratum % u64::from(self.cores)) as u32]);
-        }
-        if i % 6 == 3 && !self.object_ids.is_empty() {
-            p.object = Some(self.object_ids[stratum as usize % self.object_ids.len()]);
-        }
+        let hits: Vec<u64> = self
+            .by_time
+            .iter()
+            .map(|&k| &self.recs[k as usize])
+            .filter(|r| p.matches(r))
+            .map(|r| r.cycles)
+            .collect();
+        let want = want.max(1);
+        p.time = Some(if hits.len() <= want {
+            self.span
+        } else {
+            let room = hits.len() - want;
+            let slot = (room / strata).max(1) as u64;
+            let j = ((slot * stratum as u64 + rng.below(slot)) as usize).min(room);
+            (hits[j], hits[j + want - 1])
+        });
         p
     }
 
@@ -458,7 +484,7 @@ pub fn run(
     let mut rng = Rng::new(seed ^ SELECTIVE_SALT);
     run.cli_preds = (0..SELECTIVE_CALLS)
         .map(|t| {
-            let p = expect.selective(&mut rng, t);
+            let p = expect.selective(&mut rng, t, CLI_STRATA, CLI_MATCHES);
             let want = oracle::kind_counts(expect.recs.iter().filter(|r| p.matches(r)));
             (p, want)
         })
@@ -586,7 +612,7 @@ pub fn expectations(
     }
     let mut rng = Rng::new(seed ^ SELECTIVE_SALT);
     for t in 0..SELECTIVE_CALLS {
-        let p = x.selective(&mut rng, t);
+        let p = x.selective(&mut rng, t, CLI_STRATA, CLI_MATCHES);
         let want = oracle::kind_counts(x.recs.iter().filter(|r| p.matches(r)));
         s += &format!("query {}: {want:?}\n", p.cli_args().join(" "));
     }
@@ -841,32 +867,34 @@ impl<'a> Run<'a> {
             self.sample("convert_s", t);
         }
 
-        let out = self.dir.join("query.jsonl");
-        let r = self.cli(
-            &["query"],
-            |c| {
-                c.arg("--json");
-            },
-            proc::Stdout::File(&out),
-            false,
-        );
-        let json_ref = self.json_ref;
-        let r = r.and_then(|o| {
-            if !o.ok() {
-                return Err(format!("exit {:?}: {}", o.code, o.stderr));
-            }
-            let got = proc::fnv(&std::fs::read(&out).map_err(|e| e.to_string())?);
-            if Some(got) != json_ref || got.1 != x.recs.len() {
-                return Err("query --json output differs from the validated one".into());
-            }
-            Ok(o.secs)
-        });
-        let t = self.ok("query_json", r);
-        if timed {
-            self.sample("query_json_s", t);
-        }
-
         for _ in 0..if timed { FAST_REPEATS } else { 1 } {
+            let out = self.dir.join("query.jsonl");
+            let r = self.cli(
+                &["query"],
+                |c| {
+                    c.arg("--json");
+                },
+                proc::Stdout::File(&out),
+                false,
+            );
+            let json_ref = self.json_ref;
+            let r = r.and_then(|o| {
+                if !o.ok() {
+                    return Err(format!("exit {:?}: {}", o.code, o.stderr));
+                }
+                let got = proc::fnv(&std::fs::read(&out).map_err(|e| e.to_string())?);
+                // Removed for the same reason as `convert`'s outputs.
+                let _ = std::fs::remove_file(&out);
+                if Some(got) != json_ref || got.1 != x.recs.len() {
+                    return Err("query --json output differs from the validated one".into());
+                }
+                Ok(o.secs)
+            });
+            let t = self.ok("query_json", r);
+            if timed {
+                self.sample("query_json_s", t);
+            }
+
             let t = self.timed_cli(
                 "objects",
                 &["objects"],
@@ -987,6 +1015,12 @@ impl<'a> Run<'a> {
                 }
                 let same = std::fs::read(&back).map_err(|e| e.to_string())?
                     == std::fs::read(&self.store).map_err(|e| e.to_string())?;
+                // Removed, not overwritten next round: the page cache
+                // drops an unlinked file's unwritten pages, so no
+                // writeback of this round's outputs lands in the next
+                // round's timings.
+                let _ = std::fs::remove_file(&prv);
+                let _ = std::fs::remove_file(&back);
                 if !same {
                     return Err("store -> .prv -> store is not byte-identical".into());
                 }
@@ -1002,8 +1036,8 @@ impl<'a> Run<'a> {
         let mut rng = Rng::new(self.seed ^ ((round as u64) << 32) ^ 0x1234_5677);
         let mut v = Vec::new();
         for q in 0..SERVE_QUERIES {
-            // Consecutive rounds walk the strata.
-            let p = x.selective(&mut rng, q + SERVE_QUERIES * round);
+            // Every round draws new offsets in the same strata.
+            let p = x.selective(&mut rng, q, STRATA, SERVE_MATCHES);
             let want = x.matching(&p);
             v.push(ServeReq {
                 kind: "query",
@@ -1211,6 +1245,36 @@ mod tests {
             assert_eq!(layers.len(), layers::PER_LAYER.len());
             assert!(layers["store.materialize_s"] > 0.0);
             assert_eq!(layers["run.events"] > 0.0, w == Workload::HpcgSession);
+        }
+    }
+
+    /// A selective window holds the wanted number of its filter's
+    /// matches (a few more where events share an endpoint's cycle), or
+    /// spans the trace when the filter matches no more than that.
+    #[test]
+    fn selective_windows_match_the_wanted_events() {
+        let cfg = GenConfig {
+            events: 20_000,
+            cores: 4,
+            seed: 3,
+        };
+        let x = Expect::new(cfg.events().map(|e| Rec::of_event(&e)).collect(), vec![]);
+        let mut rng = Rng::new(11);
+        for want in [1, 500, 50_000] {
+            for i in 0..6 * STRATA {
+                let p = x.selective(&mut rng, i, STRATA, want);
+                let got = x.matching(&p).len();
+                let filter = Pred {
+                    time: None,
+                    ..p.clone()
+                };
+                let total = x.recs.iter().filter(|r| filter.matches(r)).count();
+                if total <= want {
+                    assert_eq!((got, p.time), (total, Some(x.span)), "{p:?}");
+                } else {
+                    assert!(got >= want && got <= want + want / 10 + 2, "{p:?}: {got}");
+                }
+            }
         }
     }
 
